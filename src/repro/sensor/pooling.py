@@ -30,6 +30,20 @@ def _check_pool_args(height: int, width: int, k: int) -> None:
         raise ValueError(f"array {width}x{height} smaller than pooling size {k}")
 
 
+def _sums_row_major(values: np.ndarray) -> bool:
+    """Whether NumPy's block mean over ``values`` sums in row-major order.
+
+    True for a float64 ``(N, H, W, C)`` stack, ``C >= 2``, whose
+    non-singleton axes have strictly decreasing absolute strides: NumPy's
+    reduction then loops over channels innermost and visits the block
+    offsets ``(a, b)`` row by row.
+    """
+    if values.ndim != 4 or values.shape[3] < 2 or values.dtype != np.float64:
+        return False
+    strides = [abs(s) for s, n in zip(values.strides, values.shape) if n > 1]
+    return all(outer > inner for outer, inner in zip(strides, strides[1:]))
+
+
 def block_reduce_mean(values: np.ndarray, k: int) -> np.ndarray:
     """Non-overlapping k x k block mean over the two leading axes.
 
@@ -49,9 +63,20 @@ def block_reduce_mean(values: np.ndarray, k: int) -> np.ndarray:
 def block_reduce_mean_batch(values: np.ndarray, k: int) -> np.ndarray:
     """Batched :func:`block_reduce_mean` over a leading frame axis.
 
-    One reshape + reduction covers every frame; per output element the
-    summation order matches the single-frame path exactly, so the result is
+    Every frame is reduced in one pass, and each output element is summed
+    in the same order as on the single-frame path, so the result is
     bit-identical to calling :func:`block_reduce_mean` per frame.
+
+    Summation order: a float64 ``(N, H, W, C)`` stack with ``C >= 2`` in
+    row-major memory order (the sensor's exposure stacks) is reduced by
+    copying block offset ``(0, 0)`` and adding the other k² strided views
+    ``values[:, a::k, b::k]`` in place, in row-major ``(a, b)`` order, then
+    dividing once by ``k * k``.  That is the order NumPy's
+    ``.reshape(...).mean(axis=(2, 4))`` uses for this layout, so the two
+    agree bit for bit (``tests/property/test_pooling_kernel.py`` pins
+    it), at about a third of the cost.  Every other input, including each
+    ``(N, H, W)`` stack, keeps ``.mean``: there NumPy iterates the block
+    in another order and the strided adds would not be exact.
 
     Args:
         values: ``(N, H, W)`` or ``(N, H, W, C)`` array.
@@ -65,10 +90,16 @@ def block_reduce_mean_batch(values: np.ndarray, k: int) -> np.ndarray:
     h = (values.shape[1] // k) * k
     w = (values.shape[2] // k) * k
     cropped = values[:, :h, :w]
-    if cropped.ndim == 3:
-        return cropped.reshape(n, h // k, k, w // k, k).mean(axis=(2, 4))
-    c = cropped.shape[3]
-    return cropped.reshape(n, h // k, k, w // k, k, c).mean(axis=(2, 4))
+    if _sums_row_major(cropped):
+        total = cropped[:, ::k, ::k].copy()
+        for a in range(k):
+            for b in range(k):
+                if a or b:
+                    total += cropped[:, a::k, b::k]
+        total /= k * k
+        return total
+    blocks = cropped.reshape(n, h // k, k, w // k, k, *cropped.shape[3:])
+    return blocks.mean(axis=(2, 4))
 
 
 @dataclass(frozen=True)

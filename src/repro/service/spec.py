@@ -244,11 +244,20 @@ class ScenarioSpec:
                 "scenario.window: mutually exclusive with batch_size (its "
                 "legacy alias); set only window"
             )
-        if self.frame_seeds is not None and len(self.frame_seeds) != self.n_frames:
-            raise SpecError(
-                f"scenario.frame_seeds: {len(self.frame_seeds)} seeds for "
-                f"{self.n_frames} frames"
-            )
+        # Seeds key NumPy's default_rng, which takes non-negative ints only.
+        if self.seed < 0:
+            raise SpecError(f"scenario.seed: must be >= 0, got {self.seed}")
+        if self.frame_seeds is not None:
+            if len(self.frame_seeds) != self.n_frames:
+                raise SpecError(
+                    f"scenario.frame_seeds: {len(self.frame_seeds)} seeds for "
+                    f"{self.n_frames} frames"
+                )
+            for i, seed in enumerate(self.frame_seeds):
+                if seed < 0:
+                    raise SpecError(
+                        f"scenario.frame_seeds[{i}]: must be >= 0, got {seed}"
+                    )
 
     @property
     def label(self) -> str:
@@ -292,7 +301,8 @@ class ScenarioSpec:
                 data["frame_seeds"], "scenario.frame_seeds", list, "a list of ints"
             )
             kwargs["frame_seeds"] = tuple(
-                _require(s, "scenario.frame_seeds[...]", int, "int") for s in seeds
+                _require(s, f"scenario.frame_seeds[{i}]", int, "int")
+                for i, s in enumerate(seeds)
             )
         if "keep_outcomes" in data:
             kwargs["keep_outcomes"] = _require(

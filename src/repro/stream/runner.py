@@ -15,9 +15,9 @@ engine, all modes sharing the phase methods of
   policy skips the pooled conversion *and* the stage-1 detector on frames
   where recent results proved stable, reading only predicted ROI windows.
   Reuse composes with ``window > 1``: the sensor exposes the whole window
-  ahead of the processor, and each frame's pooled stage-1 result is used
-  only where the policy demands a fresh detection — reused frames read
-  their ROI crops straight from the window's exposure buffer.
+  ahead of the processor, stage 1 is pooled and converted only for the
+  frames where the policy demands a fresh detection, and reused frames
+  read their ROI crops straight from the window's exposure buffer.
 
 Every mode returns a :class:`~repro.stream.StreamOutcome` whose per-frame
 rows and cumulative totals make the modes directly comparable — the
@@ -31,19 +31,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..core.pipeline import ConventionalPipeline, HiRISEPipeline, PipelineOutcome
 from ..core.profiling import profiled
-from ..sensor import BatchSensorReadout
+from ..sensor import BatchSensorReadout, SensorReadout
 from ..transfer import TransferLedger
 from .ledger import FrameStats, StreamOutcome
-from .reuse import TemporalROIReuse
+from .reuse import ReuseDecision, TemporalROIReuse
 
 
 _EXHAUSTED = object()
+#: The verdict a frame gets when no reuse policy is set: run stage 1.
+_NO_POLICY = ReuseDecision(reuse=False, reason="")
 
 
 def _seeded(
@@ -96,8 +99,8 @@ class StreamRunner:
             :class:`~repro.core.ConventionalPipeline` (per-frame only).
         reuse: optional temporal ROI reuse policy; when set, frames the
             policy deems stable skip stage 1 entirely.  Composes with
-            ``window > 1`` (the window is exposed ahead speculatively;
-            pooled results are discarded on reused frames).
+            ``window > 1``: the window is exposed ahead in one pass, and
+            only the frames that run stage 1 are pooled and converted.
         batch_size: legacy alias for ``window`` (HiRISE only, no reuse) —
             kept for spec compatibility; new callers should set ``window``.
         keep_outcomes: retain every full :class:`PipelineOutcome` on the
@@ -172,9 +175,10 @@ class StreamRunner:
             on_frame: optional callback invoked with the frame index before
                 the frame's *processor-side* work — detector, stage 2 —
                 runs (stateful detectors, loggers).  In windowed mode the
-                window's sensor-side exposure + pooling happens first, like
-                a real sensor streaming exposures ahead of the processor;
-                per frame, the callback still precedes the detector call.
+                window's sensor-side exposure happens first, like a real
+                sensor streaming exposures ahead of the processor (and
+                without a reuse policy, so does its pooling); per frame,
+                the callback still precedes the detector call.
 
         Returns:
             :class:`StreamOutcome` with per-frame stats and totals.
@@ -209,8 +213,8 @@ class StreamRunner:
         ``window=1`` degenerates to the classic per-frame iteration (each
         chunk is a single frame served by the scalar phase methods);
         ``window>1`` flushes whole chunks through the vectorized sensor
-        path.  Mode differences live in :meth:`_serve_frame` /
-        :meth:`_serve_window`, not in the loop.
+        path.  Every frame's policy verdict and ledger row go through
+        :meth:`_serve`, whatever the window.
         """
         chunk: list[tuple[int, int, np.ndarray]] = []
         for item in _seeded(frames, frame_seeds, self.label):
@@ -225,55 +229,46 @@ class StreamRunner:
         if window > 1:
             self._serve_window(chunk, on_frame, stream)
         else:
-            self._serve_frame(*chunk[0], on_frame, stream)
+            # Exactly the classic per-frame loop: the pipeline's own run().
+            idx, seed, frame = chunk[0]
+            run = partial(self.pipeline.run, frame, frame_seed=seed)
+            self._serve(idx, seed, frame, run, on_frame, stream)
         chunk.clear()
 
-    # -- recording ---------------------------------------------------------------
+    # -- one frame's processor side, shared by every mode -----------------------
 
-    def _record(
-        self,
-        stream: StreamOutcome,
-        idx: int,
-        result: PipelineOutcome,
-        ran_stage1: bool,
-        reused: bool = False,
-        reason: str = "",
-    ) -> None:
+    def _serve(self, idx, seed, scene, run_stage1, on_frame, stream) -> None:
+        """Ask the policy, serve the frame, record its ledger row.
+
+        A reused frame reads only the predicted ROIs of ``scene`` through
+        a fresh readout chain (counter 0); any other frame runs
+        ``run_stage1()``, the full two-stage flow, and feeds its ROIs back
+        to the policy.
+        """
+        if on_frame is not None:
+            on_frame(idx)
+        policy = self.reuse
+        decision = policy.propose() if policy is not None else _NO_POLICY
+        if decision.reuse:
+            result = self.pipeline.run_stage2_only(
+                scene, decision.rois, frame_seed=seed
+            )
+        else:
+            result = run_stage1()
+            if policy is not None:
+                policy.observe(result.rois)
         stats = FrameStats.from_outcome(
-            idx, result, ran_stage1=ran_stage1, reused_rois=reused, reason=reason
+            idx,
+            result,
+            # The conventional baseline has no pooled-readout stage to count.
+            ran_stage1=not decision.reuse
+            and isinstance(self.pipeline, HiRISEPipeline),
+            reused_rois=decision.reuse,
+            reason=decision.reason,
         )
         stream.append(stats, result if self.keep_outcomes else None)
         if self.on_stats is not None:
             self.on_stats(stats)
-
-    # -- scalar path (window == 1): exactly the classic per-frame loop ----------
-
-    def _serve_frame(self, idx, seed, frame, on_frame, stream: StreamOutcome) -> None:
-        if on_frame is not None:
-            on_frame(idx)
-        pipeline = self.pipeline
-        if self.reuse is not None:
-            decision = self.reuse.propose()
-            if decision.reuse:
-                result = pipeline.run_stage2_only(
-                    frame, decision.rois, frame_seed=seed
-                )
-                self._record(
-                    stream, idx, result,
-                    ran_stage1=False, reused=True, reason=decision.reason,
-                )
-            else:
-                result = pipeline.run(frame, frame_seed=seed)
-                self.reuse.observe(result.rois)
-                self._record(
-                    stream, idx, result, ran_stage1=True, reason=decision.reason
-                )
-            return
-        result = pipeline.run(frame, frame_seed=seed)
-        # The conventional baseline has no pooled-readout stage to count.
-        self._record(
-            stream, idx, result, ran_stage1=isinstance(pipeline, HiRISEPipeline)
-        )
 
     # -- windowed path (window > 1): vectorized stage-1 over the chunk ----------
 
@@ -297,15 +292,10 @@ class StreamRunner:
     def _serve_window(self, chunk, on_frame, stream: StreamOutcome) -> None:
         pipeline = self.pipeline
         cfg = pipeline.config
-        policy = self.reuse
-        # Sensor side first: expose/pool/ADC the whole window in one
-        # vectorized pass, writing scenes into the preallocated buffer.
-        # Under a reuse policy this is speculative — the policy's verdicts
-        # depend on detections inside this very window — but the per-frame
-        # random streams are keyed by (frame_seed, readout counter), so an
-        # unused pooled result perturbs nothing.  Same phase taxonomy as
-        # the per-frame path; windowed sensor work counts one profiler
-        # span per flush, not per frame.
+        # Sensor side first: expose the whole window in one vectorized
+        # pass, writing scenes into the preallocated buffer.  Same phase
+        # taxonomy as the per-frame path; the window's expose counts one
+        # profiler span per flush, not per frame.
         with profiled(pipeline.profiler, "expose"):
             batch = BatchSensorReadout.from_images(
                 [frame for _, _, frame in chunk],
@@ -315,41 +305,35 @@ class StreamRunner:
                 frame_seeds=[seed for _, seed, _ in chunk],
                 out=self._exposure_buffer(chunk),
             )
-        with profiled(pipeline.profiler, "stage1"), profiled(
-            pipeline.profiler, "read"
-        ):
-            stage1_results = batch.read_compressed(
-                cfg.pool_k, grayscale=cfg.grayscale_stage1
-            )
+        # Without a policy every frame runs stage 1: pool and convert the
+        # window in one vectorized pass.  Under a policy the verdicts
+        # depend on detections inside this very window, so a frame is
+        # pooled only once propose() denies it reuse.
+        stage1_results: list = [None] * len(chunk)
+        if self.reuse is None:
+            with profiled(pipeline.profiler, "stage1"), profiled(
+                pipeline.profiler, "read"
+            ):
+                stage1_results = batch.read_compressed(
+                    cfg.pool_k, grayscale=cfg.grayscale_stage1
+                )
         for (idx, seed, _), readout, stage1 in zip(
             chunk, batch.readouts, stage1_results
         ):
-            if on_frame is not None:
-                on_frame(idx)
-            if policy is not None:
-                decision = policy.propose()
-                if decision.reuse:
-                    # The window's exposure is already in the buffer:
-                    # read the ROI crops straight from it through a fresh
-                    # readout chain (counter 0 — exactly the random
-                    # stream the scalar run_stage2_only path draws).
-                    result = pipeline.run_stage2_only(
-                        readout.array, decision.rois, frame_seed=seed
-                    )
-                    self._record(
-                        stream, idx, result,
-                        ran_stage1=False, reused=True, reason=decision.reason,
-                    )
-                    continue
-                ledger = TransferLedger(link=pipeline.link)
-                ledger.add_stage1_frame(stage1.data_bytes)
-                result = pipeline.complete_from_stage1(readout, stage1, ledger)
-                policy.observe(result.rois)
-                self._record(
-                    stream, idx, result, ran_stage1=True, reason=decision.reason
-                )
-                continue
-            ledger = TransferLedger(link=pipeline.link)
+            run = partial(self._complete, readout, stage1)
+            self._serve(idx, seed, readout.array, run, on_frame, stream)
+
+    def _complete(self, readout: SensorReadout, stage1) -> PipelineOutcome:
+        """The two-stage flow on an exposed window frame.
+
+        ``stage1`` is the frame's result from the vectorized pass, or None
+        to read it now: the readout is fresh, so its counter goes 0 -> 1,
+        the random stream the per-frame oracle's stage 1 draws.
+        """
+        pipeline = self.pipeline
+        ledger = TransferLedger(link=pipeline.link)
+        if stage1 is None:
+            stage1 = pipeline.read_stage1(readout, ledger)
+        else:
             ledger.add_stage1_frame(stage1.data_bytes)
-            result = pipeline.complete_from_stage1(readout, stage1, ledger)
-            self._record(stream, idx, result, ran_stage1=True)
+        return pipeline.complete_from_stage1(readout, stage1, ledger)

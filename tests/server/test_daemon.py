@@ -179,6 +179,34 @@ class TestRequests:
                 assert exc.value.code == "bad-request"
                 assert client.ping()  # connection survives the rejection
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("seed", -1, "scenario.seed"),
+            ("frame_seeds", [0, 1, -2], "scenario.frame_seeds[2]"),
+        ],
+    )
+    def test_negative_seed_is_typed_bad_request(self, field, value, named):
+        """A raw request frame carrying a negative seed gets a typed
+        bad-request naming the field, and the connection stays usable."""
+        scenario = tiny_scenario().to_dict()
+        scenario[field] = value
+        with ReproServer(SYSTEM, workers=1, executor="serial") as server:
+            sock, reader = raw_socket(server)
+            try:
+                sock.sendall(
+                    encode_frame({"type": "run", "id": "neg", "scenario": scenario})
+                )
+                error = parse_frame(read_frame(reader))
+                assert (error.type, error.code, error.id) == (
+                    "error", "bad-request", "neg"
+                )
+                assert named in error.message
+                sock.sendall(encode_frame({"type": "ping", "id": "ok"}))
+                assert parse_frame(read_frame(reader)).type == "pong"
+            finally:
+                sock.close()
+
     def test_malformed_frame_keeps_connection_alive(self):
         with ReproServer(SYSTEM, workers=1, executor="serial") as server:
             sock, reader = raw_socket(server)

@@ -114,6 +114,21 @@ class TestValidation:
             ScenarioSpec.from_dict({"frame_seeds": "abc"})
         with pytest.raises(SpecError, match=r"frame_seeds.*2 seeds for 3"):
             ScenarioSpec(n_frames=3, frame_seeds=(1, 2))
+        with pytest.raises(SpecError, match=r"scenario\.frame_seeds\[1\].*'x'"):
+            ScenarioSpec.from_dict({"n_frames": 2, "frame_seeds": [0, "x"]})
+
+    def test_negative_seeds_named(self):
+        """Seeds key default_rng, which rejects negatives: the spec names
+        the field instead of letting the run fail later."""
+        with pytest.raises(SpecError, match=r"^scenario\.seed: must be >= 0, got -1$"):
+            ScenarioSpec.from_dict({"seed": -1})
+        with pytest.raises(
+            SpecError, match=r"^scenario\.frame_seeds\[2\]: must be >= 0, got -5$"
+        ):
+            ScenarioSpec.from_dict({"n_frames": 3, "frame_seeds": [0, 4, -5]})
+        with pytest.raises(SpecError, match=r"scenario\.frame_seeds\[0\]"):
+            ScenarioSpec(n_frames=1, frame_seeds=(-1,))
+        assert ScenarioSpec(seed=0, n_frames=1, frame_seeds=(0,)).seed == 0
 
     def test_scenario_bounds_named(self):
         with pytest.raises(SpecError, match=r"scenario\.n_frames"):
