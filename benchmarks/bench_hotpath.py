@@ -16,7 +16,14 @@ batched stage-2 inference:
    only the correctness gates run);
 4. **observability** — a profiled engine run yields the per-phase
    wall-clock breakdown (expose / stage1.read / detect / condition /
-   stage2.read / stage2.classify).
+   stage2.read / stage2.classify);
+5. **golden digests** — rendered clips and scenes, and batched float64
+   and float32 logits, hash to the digests pinned in
+   :mod:`repro.bench.golden` (a speedup must not move one output bit);
+6. **layer table** — clip-render ms per frame for the serving
+   benchmark's cold-classify clip (10 walkers, 256x192) and the tiny-CNN
+   forward split per layer (plus the per-crop resize), the layer figures
+   that sit beside the end-to-end numbers.
 
 Everything measured lands in ``BENCH_hotpath.json`` at the repo root —
 the first entry of the ROADMAP's perf trajectory.
@@ -36,10 +43,12 @@ import numpy as np
 from conftest import env_flag
 
 from repro.bench import Table
+from repro.bench.golden import CASES as GOLDEN_CASES, GOLDEN_DIGESTS
 from repro.core import HiRISEConfig, classify_crops
 from repro.ml import CropClassifier, tiny_cnn
 from repro.ml.classifier.crop import FLOAT32_LOGIT_ATOL, FLOAT32_LOGIT_RTOL
 from repro.service import ComponentRef, Engine, EngineCache, ScenarioSpec, SystemSpec
+from repro.stream import pedestrian_clip
 
 TINY = env_flag("REPRO_HOTPATH_TINY")
 N_CROPS = 8 if TINY else 24          # ROIs per "frame" for the speed claim
@@ -47,6 +56,7 @@ INPUT_SIZE = 16 if TINY else 32      # classifier input side
 ROUNDS = 2 if TINY else 5            # best-of for wall-clock numbers
 N_FRAMES = 3 if TINY else 8
 RESOLUTION = (128, 96) if TINY else (256, 192)
+RENDER_FRAMES = 4 if TINY else 24    # the cold-classify clip's length
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
@@ -77,6 +87,28 @@ def best_of(fn, rounds: int = ROUNDS) -> float:
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best
+
+
+def render_ms_per_frame() -> float:
+    """Best-of wall time to render the cold-classify clip, per frame."""
+    seconds = best_of(
+        lambda: pedestrian_clip(
+            n_frames=RENDER_FRAMES, resolution=(256, 192), n_walkers=10, seed=1
+        )
+    )
+    return seconds * 1e3 / RENDER_FRAMES
+
+
+def layer_ms(classifier: CropClassifier, crops: list[np.ndarray]) -> list[tuple[str, float]]:
+    """Best-of ms of the per-crop resize and of each layer's batched forward."""
+    rows = [("resize", best_of(lambda: [classifier.preprocess(c) for c in crops]) * 1e3)]
+    x = np.stack([classifier.preprocess(c) for c in crops])
+    for i, layer in enumerate(classifier.net.layers):
+        rows.append(
+            (f"{i}:{type(layer).__name__}", best_of(lambda: layer.forward(x)) * 1e3)
+        )
+        x = layer.forward(x)
+    return rows
 
 
 def profiled_scenario() -> tuple[SystemSpec, ScenarioSpec]:
@@ -189,6 +221,28 @@ def test_hotpath(benchmark, emit):
         f"({n_rois} ROIs over {N_FRAMES} frames)"
     )
 
+    # -- 5. golden digests: rendered pixels and logits, bit for bit ----------
+    for name, want in GOLDEN_DIGESTS.items():
+        assert GOLDEN_CASES[name]() == want, f"golden digest {name} drifted"
+    emit(f"check 5: {len(GOLDEN_DIGESTS)} golden digests match (render + logits)")
+
+    # -- 6. layer table: clip render + tiny-CNN forward per layer ------------
+    render_ms = render_ms_per_frame()
+    layers = layer_ms(classifier, crops)
+    by_kind: dict[str, float] = {}
+    for name, ms in layers:
+        kind = name.split(":")[-1]
+        by_kind[kind] = by_kind.get(kind, 0.0) + ms
+    table = Table(
+        f"layer table (best of {ROUNDS}; forward over {len(crops)} crops, f64)",
+        ["layer", "best ms"],
+        aligns=["l", "r"],
+    )
+    table.add_row("render (10 walkers, 256x192), per frame", f"{render_ms:.3f}")
+    for name, ms in layers:
+        table.add_row(name, f"{ms:.3f}")
+    emit("\n" + table.render())
+
     payload = {
         "experiment": "hotpath",
         "tiny": TINY,
@@ -213,6 +267,15 @@ def test_hotpath(benchmark, emit):
             "rtol": FLOAT32_LOGIT_RTOL,
         },
         "phases": profile.to_dict(),
+        "golden_digests_match": sorted(GOLDEN_DIGESTS),
+        "layers": {
+            "render_ms_per_frame": render_ms,
+            "render_clip": {
+                "resolution": [256, 192], "n_walkers": 10, "n_frames": RENDER_FRAMES,
+            },
+            "forward_ms": dict(layers),
+            "forward_ms_by_kind": by_kind,
+        },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     emit(f"wrote {OUTPUT.name}")

@@ -7,17 +7,22 @@ the VisDrone-like scale where objects are only a handful of pixels wide.
 
 Object renderers return the ground-truth boxes the detection datasets need:
 
-* :func:`draw_person` — torso/legs/arms/head; returns (body_box, head_box);
+* :func:`draw_person` — torso/legs/arms/head; returns (body_box, head_box).
+  It is :meth:`PersonStyle.draw` (the frame-independent look) followed by
+  :meth:`PersonStyle.paint`, so a clip can draw each actor's style once;
 * :func:`draw_cyclist` — a person over a two-wheel frame;
 * :func:`draw_vehicle` — parameterized car/van/truck/bus/motor/... bodies
-  for the VisDrone-like profile.
+  for the VisDrone-like profile (:func:`vehicle_color` then
+  :func:`paint_vehicle`).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .textures import stripes, value_noise
+from .textures import stripes
 
 Box = tuple[float, float, float, float]
 
@@ -27,6 +32,18 @@ def _blend(region: np.ndarray, color: np.ndarray, coverage: np.ndarray) -> None:
     region += coverage[:, :, None] * (color[None, None, :] - region)
 
 
+def _unit_clip(values: np.ndarray) -> np.ndarray:
+    """``np.clip(values, 0.0, 1.0)`` for a ``... + 0.5`` coverage estimate.
+
+    Skips ``np.clip``'s Python-level wrapper (several microseconds, paid
+    thousands of times per clip).  The two agree bit for bit except on
+    ``-0.0``, which ``np.clip`` keeps and ``np.maximum(-0.0, 0.0)`` turns
+    into ``+0.0``; a sum with ``+0.5`` as one operand can never be
+    ``-0.0``, so every caller passes such a sum.  NaN propagates in both.
+    """
+    return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
 def fill_rect(
     canvas: np.ndarray, x: float, y: float, w: float, h: float, color
 ) -> None:
@@ -34,16 +51,16 @@ def fill_rect(
     if w <= 0 or h <= 0:
         return
     H, W = canvas.shape[:2]
-    x0, y0 = int(np.floor(x)), int(np.floor(y))
-    x1, y1 = int(np.ceil(x + w)), int(np.ceil(y + h))
+    x0, y0 = math.floor(x), math.floor(y)
+    x1, y1 = math.ceil(x + w), math.ceil(y + h)
     x0c, y0c = max(x0, 0), max(y0, 0)
     x1c, y1c = min(x1, W), min(y1, H)
     if x0c >= x1c or y0c >= y1c:
         return
     xs = np.arange(x0c, x1c) + 0.5
     ys = np.arange(y0c, y1c) + 0.5
-    cov_x = np.clip(np.minimum(xs - x, x + w - xs) + 0.5, 0.0, 1.0)
-    cov_y = np.clip(np.minimum(ys - y, y + h - ys) + 0.5, 0.0, 1.0)
+    cov_x = _unit_clip(np.minimum(xs - x, x + w - xs) + 0.5)
+    cov_y = _unit_clip(np.minimum(ys - y, y + h - ys) + 0.5)
     coverage = cov_y[:, None] * cov_x[None, :]
     _blend(canvas[y0c:y1c, x0c:x1c], np.asarray(color, dtype=np.float64), coverage)
 
@@ -55,8 +72,8 @@ def fill_ellipse(
     if rx <= 0 or ry <= 0:
         return
     H, W = canvas.shape[:2]
-    x0, y0 = max(int(np.floor(cx - rx - 1)), 0), max(int(np.floor(cy - ry - 1)), 0)
-    x1, y1 = min(int(np.ceil(cx + rx + 1)), W), min(int(np.ceil(cy + ry + 1)), H)
+    x0, y0 = max(math.floor(cx - rx - 1), 0), max(math.floor(cy - ry - 1), 0)
+    x1, y1 = min(math.ceil(cx + rx + 1), W), min(math.ceil(cy + ry + 1), H)
     if x0 >= x1 or y0 >= y1:
         return
     xs = (np.arange(x0, x1) + 0.5 - cx) / rx
@@ -64,46 +81,12 @@ def fill_ellipse(
     dist = np.sqrt(ys[:, None] ** 2 + xs[None, :] ** 2)
     # Coverage falls from 1 to 0 over roughly one pixel at the rim.
     edge = 1.0 / max(min(rx, ry), 1.0)
-    coverage = np.clip((1.0 - dist) / edge + 0.5, 0.0, 1.0)
+    coverage = _unit_clip((1.0 - dist) / edge + 0.5)
     _blend(canvas[y0:y1, x0:x1], np.asarray(color, dtype=np.float64), coverage)
 
 
 def fill_circle(canvas: np.ndarray, cx: float, cy: float, r: float, color) -> None:
     fill_ellipse(canvas, cx, cy, r, r, color)
-
-
-def texture_rect(
-    canvas: np.ndarray,
-    x: float,
-    y: float,
-    w: float,
-    h: float,
-    base_color,
-    rng: np.random.Generator,
-    strength: float = 0.25,
-    pitch: float | None = None,
-) -> None:
-    """Rectangle filled with textured color (fabric-like).
-
-    A striped or noise-modulated version of ``base_color``; ``pitch`` pixels
-    sets the stripe period (fine pitch = high-frequency detail).
-    """
-    if w < 1 or h < 1:
-        fill_rect(canvas, x, y, w, h, base_color)
-        return
-    x0, y0 = int(np.floor(max(x, 0))), int(np.floor(max(y, 0)))
-    x1 = int(np.ceil(min(x + w, canvas.shape[1])))
-    y1 = int(np.ceil(min(y + h, canvas.shape[0])))
-    if x0 >= x1 or y0 >= y1:
-        return
-    shape = (y1 - y0, x1 - x0)
-    if pitch is not None and pitch >= 1.5:
-        field = stripes(shape, pitch=pitch, angle_deg=float(rng.uniform(0, 180)))
-    else:
-        field = value_noise(shape, rng, octaves=2, base_cells=3)
-    base = np.asarray(base_color, dtype=np.float64)
-    textured = base[None, None, :] * (1.0 - strength + strength * field[:, :, None] * 2.0)
-    canvas[y0:y1, x0:x1] = np.clip(textured, 0.0, 1.0)
 
 
 # -- skin/clothing palettes ------------------------------------------------------
@@ -168,6 +151,126 @@ def _hsv_to_rgb(h: float, s: float, v: float) -> tuple[float, float, float]:
 # -- object renderers --------------------------------------------------------------
 
 
+class PersonStyle:
+    """A person's frame-independent appearance: palette and shirt texture.
+
+    :meth:`draw` samples skin, hair and two clothing colors from ``rng``;
+    the shirt's stripe angle is drawn from the same generator only when a
+    torso first lands on the canvas, which is exactly when
+    :func:`draw_person` has always drawn it.  So painting a style once
+    consumes ``rng`` like a single :func:`draw_person` call, and painting
+    it every frame of a clip matches re-drawing it per frame from a fresh
+    generator with the same seed — while the colors are sampled once and
+    the textured torso patch is memoized per region shape (it depends only
+    on the shape, the stripe pitch, the angle and the shirt color).
+    """
+
+    def __init__(
+        self,
+        skin: np.ndarray,
+        hair: np.ndarray,
+        shirt: np.ndarray,
+        pants: np.ndarray,
+        rng: np.random.Generator,
+    ):
+        self.skin, self.hair, self.shirt, self.pants = skin, hair, shirt, pants
+        self._rng = rng
+        self._stripe_angle: float | None = None
+        self._torsos: dict[tuple, np.ndarray] = {}
+
+    @classmethod
+    def draw(
+        cls,
+        rng: np.random.Generator,
+        color_dependence: float = 0.5,
+        background_luma: float = 0.5,
+    ) -> "PersonStyle":
+        """Sample a style (see :func:`clothing_color` for the two knobs)."""
+        skin = np.asarray(SKIN_TONES[rng.integers(len(SKIN_TONES))])
+        hair = np.asarray(HAIR_COLORS[rng.integers(len(HAIR_COLORS))])
+        shirt = np.asarray(clothing_color(rng, color_dependence, background_luma))
+        pants = np.asarray(clothing_color(rng, color_dependence, background_luma))
+        return cls(skin, hair, shirt, pants, rng)
+
+    def _torso(self, shape: tuple[int, int], pitch: float) -> np.ndarray:
+        """The fabric-striped shirt patch for an on-canvas torso region."""
+        key = (shape, pitch)
+        patch = self._torsos.get(key)
+        if patch is None:
+            if self._stripe_angle is None:
+                self._stripe_angle = float(self._rng.uniform(0, 180))
+            field = stripes(shape, pitch=pitch, angle_deg=self._stripe_angle)
+            strength = 0.3
+            textured = self.shirt[None, None, :] * (
+                1.0 - strength + strength * field[:, :, None] * 2.0
+            )
+            patch = self._torsos[key] = np.clip(textured, 0.0, 1.0)
+        return patch
+
+    def paint(
+        self, canvas: np.ndarray, cx: float, top: float, height: float
+    ) -> tuple[Box, Box]:
+        """Paint a standing person; returns ``(body_box, head_box)``.
+
+        Proportions follow the classic 7.5-head figure: head diameter ~
+        height/6 (a bit large, matching pedestrian-dataset head boxes),
+        shoulder width ~ height/3.
+
+        Args:
+            canvas: target image.
+            cx: horizontal center in pixels.
+            top: y of the top of the head.
+            height: full body height in pixels.
+
+        Returns:
+            Two ``(x, y, w, h)`` boxes: full body and head.
+        """
+        head_d = height / 6.0
+        body_w = height / 2.8
+        shirt = self.shirt
+
+        head_cy = top + head_d / 2.0
+        # Head + hair cap.
+        fill_circle(canvas, cx, head_cy, head_d / 2.0, self.skin)
+        fill_ellipse(canvas, cx, top + head_d * 0.28, head_d * 0.52, head_d * 0.33, self.hair)
+        # Facial micro-features (visible only at high resolution).
+        eye_r = max(head_d * 0.05, 0.4)
+        fill_circle(canvas, cx - head_d * 0.18, head_cy - head_d * 0.05, eye_r, (0.05, 0.05, 0.08))
+        fill_circle(canvas, cx + head_d * 0.18, head_cy - head_d * 0.05, eye_r, (0.05, 0.05, 0.08))
+        fill_rect(
+            canvas, cx - head_d * 0.15, head_cy + head_d * 0.22, head_d * 0.3,
+            max(head_d * 0.05, 0.4), (0.45, 0.2, 0.2),
+        )
+
+        # Torso with fabric stripes (pitch scales with size: fine detail).
+        torso_top = top + head_d
+        torso_h = height * 0.38
+        x = cx - body_w / 2.0
+        if body_w < 1 or torso_h < 1:
+            fill_rect(canvas, x, torso_top, body_w, torso_h, shirt)
+        else:
+            x0, y0 = math.floor(max(x, 0)), math.floor(max(torso_top, 0))
+            x1 = math.ceil(min(x + body_w, canvas.shape[1]))
+            y1 = math.ceil(min(torso_top + torso_h, canvas.shape[0]))
+            if x0 < x1 and y0 < y1:
+                pitch = max(height / 40.0, 1.6)
+                canvas[y0:y1, x0:x1] = self._torso((y1 - y0, x1 - x0), pitch)
+        # Arms.
+        arm_w = body_w * 0.18
+        fill_rect(canvas, cx - body_w / 2.0 - arm_w, torso_top, arm_w, torso_h * 0.9, shirt)
+        fill_rect(canvas, cx + body_w / 2.0, torso_top, arm_w, torso_h * 0.9, shirt)
+        # Legs.
+        legs_top = torso_top + torso_h
+        leg_h = height - head_d - torso_h
+        leg_w = body_w * 0.32
+        fill_rect(canvas, cx - body_w * 0.30, legs_top, leg_w, leg_h, self.pants)
+        fill_rect(canvas, cx + body_w * 0.30 - leg_w, legs_top, leg_w, leg_h, self.pants)
+
+        body_box = (cx - body_w / 2.0 - arm_w, top, body_w + 2 * arm_w, height)
+        head_box = (cx - head_d * 0.55, top, head_d * 1.1, head_d * 1.1)
+        return body_box, head_box
+
+
 def draw_person(
     canvas: np.ndarray,
     rng: np.random.Generator,
@@ -177,15 +280,11 @@ def draw_person(
     color_dependence: float = 0.5,
     background_luma: float = 0.5,
 ) -> tuple[Box, Box]:
-    """Draw a standing person; returns ``(body_box, head_box)``.
-
-    Proportions follow the classic 7.5-head figure: head diameter ~ height/6
-    (a bit large, matching pedestrian-dataset head boxes), shoulder width ~
-    height/3.
+    """Draw a standing person with a fresh style; see :class:`PersonStyle`.
 
     Args:
         canvas: target image.
-        rng: random generator.
+        rng: random generator (the person's style).
         cx: horizontal center in pixels.
         top: y of the top of the head.
         height: full body height in pixels.
@@ -195,47 +294,8 @@ def draw_person(
     Returns:
         Two ``(x, y, w, h)`` boxes: full body and head.
     """
-    head_d = height / 6.0
-    body_w = height / 2.8
-    skin = np.asarray(SKIN_TONES[rng.integers(len(SKIN_TONES))])
-    hair = np.asarray(HAIR_COLORS[rng.integers(len(HAIR_COLORS))])
-    shirt = np.asarray(clothing_color(rng, color_dependence, background_luma))
-    pants = np.asarray(clothing_color(rng, color_dependence, background_luma))
-
-    head_cy = top + head_d / 2.0
-    # Head + hair cap.
-    fill_circle(canvas, cx, head_cy, head_d / 2.0, skin)
-    fill_ellipse(canvas, cx, top + head_d * 0.28, head_d * 0.52, head_d * 0.33, hair)
-    # Facial micro-features (visible only at high resolution).
-    eye_r = max(head_d * 0.05, 0.4)
-    fill_circle(canvas, cx - head_d * 0.18, head_cy - head_d * 0.05, eye_r, (0.05, 0.05, 0.08))
-    fill_circle(canvas, cx + head_d * 0.18, head_cy - head_d * 0.05, eye_r, (0.05, 0.05, 0.08))
-    fill_rect(
-        canvas, cx - head_d * 0.15, head_cy + head_d * 0.22, head_d * 0.3, max(head_d * 0.05, 0.4),
-        (0.45, 0.2, 0.2),
-    )
-
-    # Torso with fabric stripes (pitch scales with size: fine detail).
-    torso_top = top + head_d
-    torso_h = height * 0.38
-    texture_rect(
-        canvas, cx - body_w / 2.0, torso_top, body_w, torso_h, shirt, rng,
-        strength=0.3, pitch=max(height / 40.0, 1.6),
-    )
-    # Arms.
-    arm_w = body_w * 0.18
-    fill_rect(canvas, cx - body_w / 2.0 - arm_w, torso_top, arm_w, torso_h * 0.9, shirt)
-    fill_rect(canvas, cx + body_w / 2.0, torso_top, arm_w, torso_h * 0.9, shirt)
-    # Legs.
-    legs_top = torso_top + torso_h
-    leg_h = height - head_d - torso_h
-    leg_w = body_w * 0.32
-    fill_rect(canvas, cx - body_w * 0.30, legs_top, leg_w, leg_h, pants)
-    fill_rect(canvas, cx + body_w * 0.30 - leg_w, legs_top, leg_w, leg_h, pants)
-
-    body_box = (cx - body_w / 2.0 - arm_w, top, body_w + 2 * arm_w, height)
-    head_box = (cx - head_d * 0.55, top, head_d * 1.1, head_d * 1.1)
-    return body_box, head_box
+    style = PersonStyle.draw(rng, color_dependence, background_luma)
+    return style.paint(canvas, cx, top, height)
 
 
 def draw_cyclist(
@@ -281,6 +341,33 @@ VEHICLE_STYLES = {
 }
 
 
+def vehicle_color(rng: np.random.Generator, kind: str) -> np.ndarray:
+    """A vehicle's body color: its kind's base RGB plus seeded jitter."""
+    base = VEHICLE_STYLES[kind][1]
+    jitter = rng.normal(0.0, 0.05, size=3)
+    return np.clip(np.asarray(base) + jitter, 0.0, 1.0)
+
+
+def paint_vehicle(
+    canvas: np.ndarray, kind: str, color: np.ndarray, cx: float, cy: float, length: float
+) -> Box:
+    """Top-down vehicle body in ``color``; returns its ``(x, y, w, h)`` box."""
+    aspect, _, win_frac = VEHICLE_STYLES[kind]
+    w = length
+    h = max(length / aspect, 1.5)
+    x, y = cx - w / 2.0, cy - h / 2.0
+    fill_rect(canvas, x, y, w, h, color)
+    if win_frac > 0:
+        fill_rect(
+            canvas, x + w * 0.22, y + h * 0.18, w * win_frac, h * 0.64,
+            (0.1, 0.12, 0.18),
+        )
+    if kind in ("motor", "bicycle"):
+        fill_circle(canvas, x + w * 0.2, cy, h * 0.4, (0.05, 0.05, 0.05))
+        fill_circle(canvas, x + w * 0.8, cy, h * 0.4, (0.05, 0.05, 0.05))
+    return (x, y, w, h)
+
+
 def draw_vehicle(
     canvas: np.ndarray,
     rng: np.random.Generator,
@@ -293,7 +380,7 @@ def draw_vehicle(
 
     Args:
         canvas: target image.
-        rng: random generator.
+        rng: random generator (the body color's jitter).
         kind: a key of :data:`VEHICLE_STYLES`.
         cx, cy: center position in pixels.
         length: vehicle length in pixels (width derives from the aspect).
@@ -301,19 +388,4 @@ def draw_vehicle(
     Returns:
         ``(x, y, w, h)`` box.
     """
-    aspect, base, win_frac = VEHICLE_STYLES[kind]
-    w = length
-    h = max(length / aspect, 1.5)
-    jitter = rng.normal(0.0, 0.05, size=3)
-    color = np.clip(np.asarray(base) + jitter, 0.0, 1.0)
-    x, y = cx - w / 2.0, cy - h / 2.0
-    fill_rect(canvas, x, y, w, h, color)
-    if win_frac > 0:
-        fill_rect(
-            canvas, x + w * 0.22, y + h * 0.18, w * win_frac, h * 0.64,
-            (0.1, 0.12, 0.18),
-        )
-    if kind in ("motor", "bicycle"):
-        fill_circle(canvas, x + w * 0.2, cy, h * 0.4, (0.05, 0.05, 0.05))
-        fill_circle(canvas, x + w * 0.8, cy, h * 0.4, (0.05, 0.05, 0.05))
-    return (x, y, w, h)
+    return paint_vehicle(canvas, kind, vehicle_color(rng, kind), cx, cy, length)

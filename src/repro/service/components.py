@@ -16,6 +16,8 @@ User extensions follow the same pattern::
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..datasets.profiles import (
@@ -39,15 +41,53 @@ from .registry import (
     register_policy,
     register_source,
 )
+from .spec import SpecError
 
 # -- stream sources ----------------------------------------------------------------
 
 
+def _bad_param(name: str, expected: str, value) -> SpecError:
+    return SpecError(f"scenario.source.params.{name}: expected {expected}, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _resolution(params: dict, default: tuple[int, int]) -> tuple[int, int]:
     value = params.pop("resolution", default)
-    if not (len(value) == 2 and all(int(v) > 0 for v in value)):
-        raise ValueError(f"source.resolution must be a (width, height) pair, got {value!r}")
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_int(v) and v > 0 for v in value)
+    ):
+        raise _bad_param("resolution", "a (width, height) pair of positive integers", value)
     return (int(value[0]), int(value[1]))
+
+
+def _clip_params(params: dict, count: str) -> dict:
+    """Validate an animated clip's knobs: ``count`` actors, speed, jitter.
+
+    Each bad value raises a :class:`SpecError` naming its field, instead
+    of rendering nothing (a negative actor count) or failing deep in the
+    renderer (a NaN speed).  Unknown names pass through, so the clip
+    function rejects them.
+    """
+    if count in params and not (_is_int(params[count]) and params[count] >= 0):
+        raise _bad_param(count, "a non-negative integer", params[count])
+    if "speed" in params and not _is_finite(params["speed"]):
+        raise _bad_param("speed", "a finite number", params["speed"])
+    if "jitter" in params and not (_is_finite(params["jitter"]) and params["jitter"] >= 0):
+        raise _bad_param("jitter", "a finite number >= 0", params["jitter"])
+    return params
 
 
 @register_source("pedestrian")
@@ -55,7 +95,7 @@ def _pedestrian(n_frames: int, seed: int, **params) -> SyntheticClip:
     """CrowdHuman-flavored walkers; params: resolution, n_walkers, speed, jitter."""
     return pedestrian_clip(
         n_frames=n_frames, seed=seed,
-        resolution=_resolution(params, (256, 192)), **params,
+        resolution=_resolution(params, (256, 192)), **_clip_params(params, "n_walkers"),
     )
 
 
@@ -64,7 +104,7 @@ def _drone(n_frames: int, seed: int, **params) -> SyntheticClip:
     """VisDrone-flavored top-down traffic; params: resolution, n_vehicles, speed, jitter."""
     return drone_traffic_clip(
         n_frames=n_frames, seed=seed,
-        resolution=_resolution(params, (256, 192)), **params,
+        resolution=_resolution(params, (256, 192)), **_clip_params(params, "n_vehicles"),
     )
 
 

@@ -291,6 +291,8 @@ class Engine:
             return factory(
                 scenario.n_frames, scenario.seed, **dict(scenario.source.params)
             )
+        except SpecError:
+            raise  # already names its scenario.source.params field
         except (TypeError, ValueError) as exc:
             raise SpecError(
                 f"scenario.source {scenario.source.name!r}: {exc}"

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..datasets.shapes import draw_person, draw_vehicle
+from ..datasets.shapes import PersonStyle, paint_vehicle, vehicle_color
 from ..datasets.textures import colorize, value_noise
 from ..ml import Detection
 
@@ -101,30 +101,33 @@ def _render_clip(
     seed: int,
     jitter: float,
 ) -> SyntheticClip:
-    width, height = resolution
+    # Actor i's appearance comes from its own generator ``(seed, i)``, so
+    # it is constant across frames: draw it once per clip, not per frame
+    # (PersonStyle also memoizes the textured torso per region shape).
+    styles = []
+    for i, actor in enumerate(actors):
+        appearance = np.random.default_rng((seed, i))
+        if actor.kind == "person":
+            styles.append(PersonStyle.draw(appearance, 0.3, 0.55))
+        else:
+            styles.append(vehicle_color(appearance, actor.kind))
     frames: list[np.ndarray] = []
     ground_truth: list[list[Box]] = []
     jitter_rng = np.random.default_rng((seed, 999_331))
     for t in range(n_frames):
         canvas = backdrop.copy()
         boxes: list[Box] = []
-        for i, actor in enumerate(actors):
+        for actor, style in zip(actors, styles):
             dx = jitter * jitter_rng.normal() if jitter else 0.0
             dy = jitter * jitter_rng.normal() if jitter else 0.0
             x = actor.x + actor.vx * t + dx
             y = actor.y + actor.vy * t + dy
-            # A per-actor generator keeps appearance constant across frames.
-            appearance = np.random.default_rng((seed, i))
             if actor.kind == "person":
-                body, _ = draw_person(
-                    canvas, appearance, x, y, actor.size, 0.3, 0.55
-                )
+                body, _ = style.paint(canvas, x, y, actor.size)
                 boxes.append(body)
             else:
-                boxes.append(
-                    draw_vehicle(canvas, appearance, actor.kind, x, y, actor.size)
-                )
-        frames.append(np.clip(canvas, 0.0, 1.0))
+                boxes.append(paint_vehicle(canvas, actor.kind, style, x, y, actor.size))
+        frames.append(np.clip(canvas, 0.0, 1.0, out=canvas))
         ground_truth.append(boxes)
     return SyntheticClip(frames, ground_truth, resolution)
 

@@ -71,6 +71,20 @@ class TestResizeBilinear:
         with pytest.raises(ValueError):
             resize_bilinear(np.zeros((4, 4)), (0, 4))
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (0, 5, 3), (4, 0, 3)])
+    def test_rejects_empty_input_naming_its_shape(self, shape):
+        with pytest.raises(ValueError, match=r"empty image of shape \(" + str(shape[0])):
+            resize_bilinear(np.zeros(shape), (4, 4))
+
+    @pytest.mark.parametrize("out_hw", [(2.7, 3), (3, 2.0), ("4", 4), (None, 2)])
+    def test_rejects_non_integer_output_size(self, out_hw):
+        with pytest.raises(ValueError, match="out_hw must be a"):
+            resize_bilinear(np.zeros((4, 4)), out_hw)
+
+    def test_accepts_numpy_integer_output_size(self):
+        out = resize_bilinear(np.zeros((4, 4, 3)), (np.int64(2), np.int32(5)))
+        assert out.shape == (2, 5, 3)
+
 
 class TestCropPadded:
     def test_interior_crop(self):

@@ -207,6 +207,36 @@ class TestRequests:
             finally:
                 sock.close()
 
+    @pytest.mark.parametrize(
+        "source, params, named",
+        [
+            ("pedestrian", {"resolution": [256.5, 192]}, "resolution"),
+            ("pedestrian", {"n_walkers": -1}, "n_walkers"),
+            ("drone", {"n_vehicles": -1}, "n_vehicles"),
+            ("pedestrian", {"speed": float("nan")}, "speed"),
+            ("drone", {"jitter": float("nan")}, "jitter"),
+        ],
+    )
+    def test_bad_source_param_is_typed_bad_request(self, source, params, named):
+        """A source param the renderer cannot honor gets a bad-request
+        naming ``scenario.source.params.<field>``; the connection survives."""
+        scenario = ScenarioSpec.from_dict(
+            {
+                "source": {
+                    "name": source,
+                    "params": {"resolution": [48, 36], **params},
+                },
+                "n_frames": 2,
+            }
+        )
+        with ReproServer(SYSTEM, workers=1, executor="serial") as server:
+            with ServerClient(*server.address) as client:
+                with pytest.raises(BadRequestError) as exc:
+                    client.run(scenario)
+                assert exc.value.code == "bad-request"
+                assert f"scenario.source.params.{named}:" in str(exc.value)
+                assert client.ping()
+
     def test_malformed_frame_keeps_connection_alive(self):
         with ReproServer(SYSTEM, workers=1, executor="serial") as server:
             sock, reader = raw_socket(server)

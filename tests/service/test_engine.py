@@ -84,6 +84,34 @@ class TestConstruction:
         with pytest.raises(SpecError, match="pedestrian"):
             engine.run(bad)
 
+    @pytest.mark.parametrize(
+        "source, params, field",
+        [
+            ("pedestrian", {"resolution": [256.5, 192]}, "resolution"),
+            ("drone", {"resolution": [64, True]}, "resolution"),
+            ("pedestrian", {"n_walkers": -1}, "n_walkers"),
+            ("pedestrian", {"n_walkers": 2.5}, "n_walkers"),
+            ("drone", {"n_vehicles": -1}, "n_vehicles"),
+            ("pedestrian", {"speed": float("nan")}, "speed"),
+            ("drone", {"speed": float("inf")}, "speed"),
+            ("pedestrian", {"jitter": float("nan")}, "jitter"),
+            ("drone", {"jitter": -0.5}, "jitter"),
+        ],
+    )
+    def test_bad_source_param_values_name_the_field(self, source, params, field):
+        """Values that used to be truncated, render nothing, or fail deep
+        in the renderer raise a SpecError naming the param's spec path."""
+        engine = Engine(SYSTEM)
+        bad = scenario(source=ComponentRef(source, {"resolution": [64, 48], **params}))
+        with pytest.raises(SpecError, match=rf"^scenario\.source\.params\.{field}: "):
+            engine.run(bad)
+
+    def test_valid_source_params_still_accepted(self):
+        engine = Engine(SYSTEM)
+        params = {"resolution": (64, 48), "n_walkers": 0, "speed": -1, "jitter": 0}
+        result = engine.run(scenario(source=ComponentRef("pedestrian", params)))
+        assert len(result.outcome.frames) == 6
+
     def test_bad_detector_params_raise_spec_error(self):
         engine = Engine(
             SystemSpec(detector=ComponentRef("ground-truth", {"labl": "x"}))
