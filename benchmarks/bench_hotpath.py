@@ -17,8 +17,8 @@ batched stage-2 inference:
 4. **observability** — a profiled engine run yields the per-phase
    wall-clock breakdown (expose / stage1.read / detect / condition /
    stage2.read / stage2.classify);
-5. **golden digests** — rendered clips and scenes, and batched float64
-   and float32 logits, hash to the digests pinned in
+5. **golden digests** — rendered clips and scenes, batched float64
+   and float32 logits, and encoded wire replies hash to the digests pinned in
    :mod:`repro.bench.golden` (a speedup must not move one output bit);
 6. **layer table** — clip-render ms per frame for the serving
    benchmark's cold-classify clip (10 walkers, 256x192) and the tiny-CNN
@@ -221,10 +221,10 @@ def test_hotpath(benchmark, emit):
         f"({n_rois} ROIs over {N_FRAMES} frames)"
     )
 
-    # -- 5. golden digests: rendered pixels and logits, bit for bit ----------
+    # -- 5. golden digests: pixels, logits and wire bytes, bit for bit -------
     for name, want in GOLDEN_DIGESTS.items():
         assert GOLDEN_CASES[name]() == want, f"golden digest {name} drifted"
-    emit(f"check 5: {len(GOLDEN_DIGESTS)} golden digests match (render + logits)")
+    emit(f"check 5: {len(GOLDEN_DIGESTS)} golden digests match (render, logits, wire)")
 
     # -- 6. layer table: clip render + tiny-CNN forward per layer ------------
     render_ms = render_ms_per_frame()

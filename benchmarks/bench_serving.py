@@ -11,12 +11,16 @@ socket with concurrent keep-alive clients and enforces:
 2. the warm sustained phase is **pure cache hits**: the daemon's result
    tier reports exactly one hit per request and zero new misses;
 3. a streamed request reassembles to the same outcome the whole-result
-   mode returns.
+   mode returns — every request of the warm *streamed* phase, too;
+4. (full size only) a warm streamed reply costs what its bytes cost:
+   streamed p50 under :data:`STREAM_P50_BOUND_MS`.  Behind Nagle's
+   algorithm a streamed reply waits ~40 ms for the client's delayed ACK,
+   which is why both ends set ``TCP_NODELAY``.
 
-What it *reports* (never gates on — CI runners cannot assert timings):
-sustained requests-per-second and p50/p99 request latency for the warm
-phase, cold-phase latency for contrast, all written to
-``BENCH_serving.json`` at the repo root for artifact upload.
+What it *reports*: sustained requests-per-second and p50/p99 request
+latency for the warm phase, whole and streamed side by side, cold-phase
+latency for contrast, all written to ``BENCH_serving.json`` at the repo
+root.  The tiny CI smoke never gates on timings.
 
 Env knobs (CI smoke uses the first):
   ``REPRO_SERVING_TINY``      tiny workload, correctness asserts only
@@ -47,6 +51,9 @@ N_SCENARIOS = 3 if TINY else 6
 CLIENTS = env_int("REPRO_SERVING_CLIENTS", 2 if TINY else 4)
 REQUESTS = env_int("REPRO_SERVING_REQUESTS", 12 if TINY else 120)
 WORKERS = 2 if TINY else 4
+#: Full-size gate on the warm streamed p50 (ms); far below the ~40 ms
+#: delayed-ACK floor a streamed reply sat on without ``TCP_NODELAY``.
+STREAM_P50_BOUND_MS = 20.0
 
 SYSTEM = {"system": {"system": "hirise"}}
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
@@ -69,13 +76,14 @@ def workload() -> list[ScenarioSpec]:
     return scenarios
 
 
-def drive(address, scenarios, n_requests, n_clients):
+def drive(address, scenarios, n_requests, n_clients, streaming=False):
     """Concurrent keep-alive clients; returns (latencies_s, wall_s, results).
 
     Each client owns one connection and walks the workload round-robin
     from its own offset, so every scenario stays in rotation and the
     daemon sees interleaved, overlapping requests — serving conditions,
-    not a lockstep sweep.
+    not a lockstep sweep.  ``streaming`` sends every request in
+    per-frame streaming mode instead of whole-result mode.
     """
     latencies = [[] for _ in range(n_clients)]
     results = [[] for _ in range(n_clients)]
@@ -88,7 +96,10 @@ def drive(address, scenarios, n_requests, n_clients):
                 for step in range(per_client):
                     spec = scenarios[(client_index + step) % len(scenarios)]
                     start = time.perf_counter()
-                    result = client.run(spec)
+                    if streaming:
+                        result = client.run_streaming(spec)
+                    else:
+                        result = client.run(spec)
                     latencies[client_index].append(time.perf_counter() - start)
                     results[client_index].append(result)
         except Exception as exc:  # noqa: BLE001 - collected and re-raised in the main thread after join
@@ -138,12 +149,17 @@ def test_serving_sustained_rps(emit):
             )
             warm_stats = probe.stats()
 
-            # -- streaming parity on the warm cache -----------------------
-            streamed = probe.run_streaming(scenarios[0])
+            # -- warm streamed phase: the same load, per-frame replies ----
+            s_latencies, s_wall, s_results = drive(
+                server.address, scenarios, REQUESTS, CLIENTS, streaming=True
+            )
+            streamed_stats = probe.stats()
 
     n_warm = CLIENTS * (REQUESTS // CLIENTS)
     rps = n_warm / wall
     p50, p99 = percentiles(latencies)
+    s_rps = n_warm / s_wall
+    s_p50, s_p99 = percentiles(s_latencies)
     cold_p50, cold_p99 = percentiles(cold_latencies)
     # The cold phase runs serially on one connection, so its wall clock is
     # the sum of its latencies.
@@ -163,6 +179,9 @@ def test_serving_sustained_rps(emit):
     )
     table.add_row(
         "warm (hits)", str(n_warm), f"{rps:.0f}", f"{p50:.2f}", f"{p99:.2f}"
+    )
+    table.add_row(
+        "warm streamed", str(n_warm), f"{s_rps:.0f}", f"{s_p50:.2f}", f"{s_p99:.2f}"
     )
     emit("\n" + table.render())
 
@@ -184,18 +203,35 @@ def test_serving_sustained_rps(emit):
     assert cold["misses"] == len(scenarios)
     assert warm["misses"] == cold["misses"]
     assert warm["hits"] == cold["hits"] + n_warm
+    streamed_tier = streamed_stats.cache["results"]
+    assert streamed_tier["misses"] == cold["misses"]
+    assert streamed_tier["hits"] == warm["hits"] + n_warm
     emit(
-        f"check 2: warm phase is pure cache hits "
-        f"(+{n_warm} hits, +0 misses on the daemon's result tier)"
+        f"check 2: warm phases are pure cache hits "
+        f"(+{n_warm} whole and +{n_warm} streamed hits, +0 misses on the "
+        "daemon's result tier)"
     )
 
     # 3. Streaming mode replays the same memoized outcome (frame rows and
     # totals; wall time legitimately differs from the reference run).
-    want = expected[scenarios[0].label].outcome
-    assert streamed.outcome.frames == want.frames
-    assert streamed.outcome.system == want.system
-    assert streamed.outcome.total_bytes == want.total_bytes
-    emit("check 3: streamed request reassembles bit-identical frames")
+    streamed_checked = 0
+    for per_client in s_results:
+        for result in per_client:
+            want = expected[result.scenario.label].outcome
+            assert result.outcome.frames == want.frames
+            assert result.outcome.system == want.system
+            assert result.outcome.total_bytes == want.total_bytes
+            streamed_checked += 1
+    assert streamed_checked == n_warm
+    emit(f"check 3: {streamed_checked} streamed replies reassemble bit-identical frames")
+
+    # 4. A streamed warm reply is not held back by the socket.
+    if not TINY:
+        assert s_p50 < STREAM_P50_BOUND_MS, (
+            f"warm streamed p50 {s_p50:.1f} ms >= {STREAM_P50_BOUND_MS} ms: "
+            "are the sockets still batching small writes (TCP_NODELAY)?"
+        )
+        emit(f"check 4: warm streamed p50 {s_p50:.2f} ms < {STREAM_P50_BOUND_MS} ms")
 
     payload = {
         "experiment": "serving",
@@ -221,6 +257,16 @@ def test_serving_sustained_rps(emit):
             "rps": rps,
             "p50_ms": p50,
             "p99_ms": p99,
+            "pure_cache_hits": True,
+            "bit_identical": True,
+        },
+        "warm_streamed": {
+            "requests": n_warm,
+            "wall_s": s_wall,
+            "rps": s_rps,
+            "p50_ms": s_p50,
+            "p99_ms": s_p99,
+            "p50_bound_ms": None if TINY else STREAM_P50_BOUND_MS,
             "pure_cache_hits": True,
             "bit_identical": True,
         },

@@ -18,7 +18,16 @@ Cases:
 * ``faces/*`` — RAF-DB-like face crops, one per expression;
 * ``logits/*`` — tiny-CNN logits over a fixed crop set (odd sizes, 1xN,
   up- and downscales) with seeded batch-norm running statistics, through
-  the per-crop resize and one batched forward, in float64 and float32.
+  the per-crop resize and one batched forward, in float64 and float32;
+* ``wire/*`` — the serving protocol's bytes for two served scenarios: the
+  whole ``result`` frame, every streamed ``frame`` row and the ``end``
+  frame, as :func:`~repro.server.protocol.encode_frame` writes them.
+
+The wire digests pin the JSON codec of the ledger types.  Cache keys and
+fingerprints hash canonical ``to_dict`` JSON, so a codec change that moves
+one byte would silently invalidate every persisted store; these cases
+catch it.  ``wall_time_s`` is measured wall-clock, so it is pinned to
+:data:`PINNED_WALL_TIME_S` before encoding.
 
 The logit digests also pin the BLAS build behind ``Conv2D``'s matmul: a
 NumPy or BLAS upgrade that changes its accumulation order shows up here,
@@ -37,6 +46,8 @@ from ..datasets.rafdb import EXPRESSIONS, render_face
 from ..datasets.scene import SceneGenerator
 from ..ml import CropClassifier, tiny_cnn
 from ..ml.layers import BatchNorm
+from ..server.protocol import FrameChunk, ResultResponse, StreamEnd, encode_frame
+from ..service import Engine, EngineCache, ScenarioSpec
 from ..stream.source import SyntheticClip, drone_traffic_clip, pedestrian_clip
 
 #: The tiny-CNN logit cases' classes (four, like the hot-path bench).
@@ -126,6 +137,60 @@ def logits_digest(input_size: int, dtype: str) -> str:
     return _sha256(_array_bytes(logits))
 
 
+#: The served scenarios of the ``wire/*`` cases: one plain pedestrian
+#: clip, and a drone clip under temporal ROI reuse (so rows carry every
+#: ``reason`` label and both ``ran_stage1`` values).
+WIRE_SCENARIOS: dict[str, dict] = {
+    "pedestrian": {
+        "source": {"name": "pedestrian", "params": {"resolution": [96, 72]}},
+        "n_frames": 8,
+        "seed": 21,
+        "window": 4,
+        "name": "golden-pedestrian",
+    },
+    "drone-reuse": {
+        "source": {"name": "drone", "params": {"resolution": [96, 72]}},
+        "n_frames": 12,
+        "seed": 8,
+        "window": 4,
+        "policy": {"name": "temporal-reuse", "params": {"max_reuse": 3}},
+        "name": "golden-drone-reuse",
+    },
+}
+
+#: Stand-in for the measured ``wall_time_s`` in the wire cases.
+PINNED_WALL_TIME_S = 0.125
+
+
+def _served(name: str):
+    """The wire case's reply, from a cache-free engine."""
+    scenario = ScenarioSpec.from_dict(WIRE_SCENARIOS[name])
+    result = Engine(cache=EngineCache.disabled()).run(scenario)
+    result.outcome.wall_time_s = PINNED_WALL_TIME_S
+    return result
+
+
+def wire_digest(name: str, part: str) -> str:
+    """SHA-256 over one part (``result``/``frames``/``end``) of a reply."""
+    result = _served(name)
+    request_id = f"golden-{name}"
+    outcome = result.outcome
+    if part == "result":
+        frames = [ResultResponse(id=request_id, scenario=result.scenario, outcome=outcome)]
+    elif part == "frames":
+        frames = [FrameChunk(id=request_id, stats=row) for row in outcome.frames]
+    else:
+        frames = [
+            StreamEnd(
+                id=request_id,
+                system=outcome.system,
+                n_frames=outcome.n_frames,
+                wall_time_s=outcome.wall_time_s,
+            )
+        ]
+    return _sha256(encode_frame(frame) for frame in frames)
+
+
 #: Case name -> a zero-argument function computing its digest.
 CASES: dict[str, Callable[[], str]] = {
     "pedestrian/linear": lambda: clip_digest(
@@ -160,11 +225,18 @@ CASES: dict[str, Callable[[], str]] = {
     "logits/float64": lambda: logits_digest(32, "float64"),
     "logits/float64-odd": lambda: logits_digest(20, "float64"),
     "logits/float32": lambda: logits_digest(32, "float32"),
+    **{
+        f"wire/{name}/{part}": (lambda name=name, part=part: wire_digest(name, part))
+        for name in WIRE_SCENARIOS
+        for part in ("result", "frames", "end")
+    },
 }
 
 
-#: Expected digests, captured before the style-once renderer and the
-#: exact stage-2 kernels landed; both must reproduce them bit for bit.
+#: Expected digests.  The pixel and logit digests were captured before the
+#: style-once renderer and the exact stage-2 kernels landed, the wire
+#: digests before the table-driven ``FrameStats`` codec and the
+#: encode-once reply path; each must reproduce them bit for bit.
 GOLDEN_DIGESTS: dict[str, str] = {
     "pedestrian/linear": "c2cf6fc7eff190113791d4a32a6305f7d61f78ac7a82a7fcbc637b76ef97cd62",
     "pedestrian/jitter": "97e45cdc76c46154107887a0156b6a06a6252aa1ddb1583b513acfb5eb3dc967",
@@ -178,4 +250,10 @@ GOLDEN_DIGESTS: dict[str, str] = {
     "logits/float64": "bbb2e3a1c5035ae4069b63089e3114931fbb0fb07d86bd59d7b5f9446cc935d5",
     "logits/float64-odd": "4cd9a00bf26a4685bb924276dfbf5039e6a4e16c19f8fb0ba9122a95e7c3112d",
     "logits/float32": "30709c35ef620558b13c8dcdae5fca501fd1b12be0c64b564d73cd1bf071bd83",
+    "wire/pedestrian/result": "4b2cfb013d8ef9bbed5dfa3c1354b3882320b760d47572684f3a1a8afd482a5e",
+    "wire/pedestrian/frames": "a3ac104ce27d9e30afdee460b1205d4db8bce5c981ae33d00df4a83494414f17",
+    "wire/pedestrian/end": "593ce3d76c7874ad26e15b76b511d5052d73636efdaf95884d87c4a78c1d6161",
+    "wire/drone-reuse/result": "47ffa5f48dd92ce18614376fb2adab5ddb4e26d5ae58c847c6cde51de6c54197",
+    "wire/drone-reuse/frames": "805125596bc35e68590503b23f9c1f7dacd72d044cb067ad679ad8407113a68b",
+    "wire/drone-reuse/end": "d678a32904e823ba55324f171808006ef72f4385e9e75d89cfce2fe34b3b9d77",
 }

@@ -184,6 +184,9 @@ class ServerClient:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout_s
             )
+            # Requests are single small lines: send each at once instead of
+            # letting Nagle hold it for the daemon's delayed ACK.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._reader = self._sock.makefile("rb")
         return self
 

@@ -98,37 +98,45 @@ class _Connection:
     stopped waiting (timeout): the worker drops further stream writes for
     it instead of corrupting the reply order.  ``cid`` is this
     connection's daemon-unique id, quoted in stderr diagnostics.
+
+    The socket runs with ``TCP_NODELAY``: every frame is one ``sendall``
+    that should leave at once.  With Nagle's algorithm on, a streamed
+    reply's small rows wait for the client's delayed ACK (~40 ms).
     """
 
     def __init__(self, sock: socket.socket):
         self.cid = next(_CONNECTION_IDS)
         self.sock = sock
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.reader = sock.makefile("rb")
         self.wlock = threading.Lock()
         self.abandoned: set[str] = set()
         self.closed = False
 
-    def send(self, frame) -> None:
-        with self.wlock:
-            if self.closed:
-                return
-            try:
-                self.sock.sendall(encode_frame(frame))
-            except OSError:
-                # The client went away; reads will observe EOF shortly.
-                self.closed = True
+    def write(self, payload: bytes, request_id: str | None = None) -> bool:
+        """Write one encoded frame; ``False`` if it was not sent.
 
-    def send_stream_frame(self, request_id: str, frame) -> bool:
-        """Send a mid-stream frame unless the request was abandoned."""
+        With a ``request_id``, the frame belongs to that request's reply
+        and is dropped once the request was abandoned.  A failed write
+        marks the connection closed: the client went away, and reads will
+        observe EOF shortly.
+        """
         with self.wlock:
             if self.closed or request_id in self.abandoned:
                 return False
             try:
-                self.sock.sendall(encode_frame(frame))
+                self.sock.sendall(payload)
                 return True
             except OSError:
                 self.closed = True
                 return False
+
+    def send(self, frame) -> None:
+        self.write(encode_frame(frame))
+
+    def send_stream_frame(self, request_id: str, frame) -> bool:
+        """Send a mid-stream frame unless the request was abandoned."""
+        return self.write(encode_frame(frame), request_id)
 
     def abandon(self, request_id: str) -> None:
         with self.wlock:
@@ -566,10 +574,12 @@ class ReproServer:
                 ),
             )
         else:
-            response = ResultResponse(
-                id=request.id, scenario=result.scenario, outcome=result.outcome
+            # Encoded once: the size check and the write share the bytes.
+            payload = encode_frame(
+                ResultResponse(
+                    id=request.id, scenario=result.scenario, outcome=result.outcome
+                )
             )
-            payload = encode_frame(response)
             if len(payload) > self.max_frame_bytes:
                 connection.send(
                     ErrorResponse(
@@ -581,7 +591,7 @@ class ReproServer:
                     )
                 )
             else:
-                connection.send(response)
+                connection.write(payload)
 
     # -- fault injection (chaos testing) -------------------------------------------
 

@@ -101,29 +101,58 @@ class FrameStats:
         Every field is a JSON scalar (ints, bools, strings, one float), and
         Python floats round-trip exactly through JSON text, so a frame row
         that crosses a socket compares bit-equal to the one that was sent.
+        Keys are written in field order: the wire bytes depend on it.
         """
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            "frame_index": self.frame_index,
+            "ran_stage1": self.ran_stage1,
+            "reused_rois": self.reused_rois,
+            "reason": self.reason,
+            "n_rois": self.n_rois,
+            "stage1_bytes": self.stage1_bytes,
+            "roi_feedback_bytes": self.roi_feedback_bytes,
+            "stage2_bytes": self.stage2_bytes,
+            "stage1_conversions": self.stage1_conversions,
+            "stage2_conversions": self.stage2_conversions,
+            "energy_j": self.energy_j,
+            "peak_image_memory_bytes": self.peak_image_memory_bytes,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FrameStats":
         """Parse a :meth:`to_dict` payload; errors name the offending field."""
         _require(data, "frame_stats", dict, "dict")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"frame_stats: unknown field(s) {unknown}; "
-                f"known fields: {sorted(known)}"
-            )
-        missing = sorted(known - set(data))
-        if missing:
+        if data.keys() != _FRAME_STATS_KEYS:
+            unknown = sorted(set(data) - _FRAME_STATS_KEYS)
+            if unknown:
+                raise ValueError(
+                    f"frame_stats: unknown field(s) {unknown}; "
+                    f"known fields: {sorted(_FRAME_STATS_KEYS)}"
+                )
+            missing = sorted(_FRAME_STATS_KEYS - set(data))
             raise ValueError(f"frame_stats: missing field(s) {missing}")
-        kwargs = {}
-        for f in fields(cls):
-            kind = {"int": int, "bool": bool, "str": str, "float": float}[f.type]
-            value = _require(data[f.name], f"frame_stats.{f.name}", kind, f.type)
-            kwargs[f.name] = float(value) if kind is float else value
-        return cls(**kwargs)
+        values = []
+        for name, kind, type_name in _FRAME_STATS_CODEC:
+            value = data[name]
+            # An exact type match is always valid; anything else (a bool
+            # for an int, an int for a float, a subclass) takes the full
+            # check, which raises or normalizes.
+            if type(value) is not kind:
+                _require(value, f"frame_stats.{name}", kind, type_name)
+                if kind is float:
+                    value = float(value)
+            values.append(value)
+        return cls(*values)
+
+
+#: :class:`FrameStats`' row codec, built once: ``(field, type, type name)``
+#: in field order.  ``from_dict`` runs once per streamed row, so it reads
+#: this table instead of calling ``dataclasses.fields`` each time.
+_FRAME_STATS_CODEC = tuple(
+    (f.name, {"int": int, "bool": bool, "str": str, "float": float}[f.type], f.type)
+    for f in fields(FrameStats)
+)
+_FRAME_STATS_KEYS = frozenset(name for name, _, _ in _FRAME_STATS_CODEC)
 
 
 @dataclass
@@ -284,8 +313,10 @@ class StreamOutcome:
         wall = _require(
             data.get("wall_time_s", 0.0), "stream_outcome.wall_time_s", float, "float"
         )
-        return cls(
-            system=system,
-            frames=[FrameStats.from_dict(row) for row in rows],
-            wall_time_s=float(wall),
-        )
+        frames = []
+        for index, row in enumerate(rows):
+            try:
+                frames.append(FrameStats.from_dict(row))
+            except ValueError as exc:
+                raise ValueError(f"stream_outcome.frames[{index}]: {exc}") from None
+        return cls(system=system, frames=frames, wall_time_s=float(wall))

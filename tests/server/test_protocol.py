@@ -1,5 +1,6 @@
 """Wire-protocol frames: exact round-trips, validation, framing robustness."""
 
+import dataclasses
 import io
 import json
 
@@ -173,6 +174,33 @@ class TestValidation:
         data["stats"]["energy_j"] = "hot"
         with pytest.raises(ProtocolError, match="frame.stats"):
             parse_frame(data)
+
+    def result_with_rows(self, n_rows):
+        rows = [dataclasses.replace(STATS, frame_index=i) for i in range(n_rows)]
+        outcome = StreamOutcome(system="hirise", frames=rows, wall_time_s=0.5)
+        scenario = ScenarioSpec.from_dict(SCENARIO)
+        response = ResultResponse(id="r1", scenario=scenario, outcome=outcome)
+        return json.loads(encode_frame(response))
+
+    def test_result_outcome_error_names_the_row(self):
+        data = self.result_with_rows(20)
+        data["outcome"]["frames"][17]["n_rois"] = True
+        with pytest.raises(ProtocolError) as exc:
+            parse_frame(data)
+        assert str(exc.value) == (
+            "result.outcome: stream_outcome.frames[17]: "
+            "frame_stats.n_rois: expected int, got True"
+        )
+
+    def test_result_outcome_names_a_non_dict_row(self):
+        data = self.result_with_rows(4)
+        data["outcome"]["frames"][2] = 7
+        with pytest.raises(ProtocolError) as exc:
+            parse_frame(data)
+        assert str(exc.value) == (
+            "result.outcome: stream_outcome.frames[2]: "
+            "frame_stats: expected dict, got 7"
+        )
 
     def test_end_rejects_negative_frame_count(self):
         with pytest.raises(ProtocolError, match="end.n_frames: must be >= 0"):

@@ -333,6 +333,32 @@ class TestLedgerSerialization:
         with pytest.raises(ValueError, match="frame_stats.energy_j"):
             FrameStats.from_dict(dict(data, energy_j=True))
 
+    def test_outcome_errors_name_the_bad_row(self, clip):
+        data = self.run_stream(clip).to_dict()
+        data["frames"][4]["n_rois"] = True
+        with pytest.raises(ValueError) as exc:
+            StreamOutcome.from_dict(data)
+        assert str(exc.value) == (
+            "stream_outcome.frames[4]: frame_stats.n_rois: expected int, got True"
+        )
+
+    @pytest.mark.parametrize("row", [5, None, [1, 2], "frame"])
+    def test_non_dict_row_is_named_by_index(self, clip, row):
+        data = self.run_stream(clip).to_dict()
+        data["frames"][1] = row
+        with pytest.raises(ValueError) as exc:
+            StreamOutcome.from_dict(data)
+        assert str(exc.value) == (
+            f"stream_outcome.frames[1]: frame_stats: expected dict, got {row!r}"
+        )
+
+    def test_row_key_errors_carry_the_index_too(self, clip):
+        data = self.run_stream(clip).to_dict()
+        del data["frames"][0]["energy_j"]
+        with pytest.raises(ValueError, match=r"^stream_outcome\.frames\[0\]: "
+                           r"frame_stats: missing field\(s\) \['energy_j'\]$"):
+            StreamOutcome.from_dict(data)
+
     def test_outcome_with_kept_outcomes_refuses_to_serialize(self, clip):
         stream = self.run_stream(clip, keep_outcomes=True)
         with pytest.raises(ValueError, match="keep_outcomes"):
