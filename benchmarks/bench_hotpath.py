@@ -21,9 +21,11 @@ batched stage-2 inference:
    and float32 logits, and encoded wire replies hash to the digests pinned in
    :mod:`repro.bench.golden` (a speedup must not move one output bit);
 6. **layer table** — clip-render ms per frame for the serving
-   benchmark's cold-classify clip (10 walkers, 256x192) and the tiny-CNN
-   forward split per layer (plus the per-crop resize), the layer figures
-   that sit beside the end-to-end numbers.
+   benchmark's cold-classify clip (10 walkers, 256x192), the render of
+   one single-frame 640x480 CrowdHuman-like scene (the same drawing
+   primitives on a one-frame block), and the tiny-CNN forward split per
+   layer (plus the per-crop resize), the layer figures that sit beside
+   the end-to-end numbers.
 
 Everything measured lands in ``BENCH_hotpath.json`` at the repo root —
 the first entry of the ROADMAP's perf trajectory.
@@ -45,6 +47,7 @@ from conftest import env_flag
 from repro.bench import Table
 from repro.bench.golden import CASES as GOLDEN_CASES, GOLDEN_DIGESTS
 from repro.core import HiRISEConfig, classify_crops
+from repro.datasets import CROWDHUMAN_LIKE, SceneGenerator
 from repro.ml import CropClassifier, tiny_cnn
 from repro.ml.classifier.crop import FLOAT32_LOGIT_ATOL, FLOAT32_LOGIT_RTOL
 from repro.service import ComponentRef, Engine, EngineCache, ScenarioSpec, SystemSpec
@@ -97,6 +100,12 @@ def render_ms_per_frame() -> float:
         )
     )
     return seconds * 1e3 / RENDER_FRAMES
+
+
+def scene_render_ms() -> float:
+    """Best-of wall time to render one 640x480 CrowdHuman-like scene."""
+    generator = SceneGenerator(CROWDHUMAN_LIKE, (640, 480), seed=0)
+    return best_of(lambda: generator.scene(0)) * 1e3
 
 
 def layer_ms(classifier: CropClassifier, crops: list[np.ndarray]) -> list[tuple[str, float]]:
@@ -228,6 +237,7 @@ def test_hotpath(benchmark, emit):
 
     # -- 6. layer table: clip render + tiny-CNN forward per layer ------------
     render_ms = render_ms_per_frame()
+    scene_ms = scene_render_ms()
     layers = layer_ms(classifier, crops)
     by_kind: dict[str, float] = {}
     for name, ms in layers:
@@ -239,6 +249,7 @@ def test_hotpath(benchmark, emit):
         aligns=["l", "r"],
     )
     table.add_row("render (10 walkers, 256x192), per frame", f"{render_ms:.3f}")
+    table.add_row("scene render (crowdhuman-like, 640x480)", f"{scene_ms:.3f}")
     for name, ms in layers:
         table.add_row(name, f"{ms:.3f}")
     emit("\n" + table.render())
@@ -273,6 +284,8 @@ def test_hotpath(benchmark, emit):
             "render_clip": {
                 "resolution": [256, 192], "n_walkers": 10, "n_frames": RENDER_FRAMES,
             },
+            "scene_render_ms": scene_ms,
+            "scene": {"profile": "crowdhuman-like", "resolution": [640, 480]},
             "forward_ms": dict(layers),
             "forward_ms_by_kind": by_kind,
         },

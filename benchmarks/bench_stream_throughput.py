@@ -325,6 +325,7 @@ def test_stream_throughput(benchmark, emit):
     )
 
     payload = {
+        "experiment": "stream",
         "tiny": TINY,
         "n_frames": N_FRAMES,
         "resolution": list(RESOLUTION),

@@ -11,7 +11,11 @@ compare each case's current digest (``CASES[name]()``) against them.
 Cases:
 
 * ``pedestrian/*`` and ``drone/*`` — animated clips with and without
-  position jitter (frames plus ground-truth boxes);
+  position jitter (frames plus ground-truth boxes), including the edges a
+  frame-block renderer must keep: walkers leaving the canvas
+  (``pedestrian/edges``), people small enough to take the plain-rectangle
+  torso (``pedestrian/tiny``), a static clip, a 40-frame clip with jitter
+  2.5 and a fast drone clip;
 * ``scene/*`` — three :class:`~repro.datasets.scene.SceneGenerator` scenes
   per profile, whose actors share one generator (images plus labelled
   boxes);
@@ -212,6 +216,25 @@ CASES: dict[str, Callable[[], str]] = {
             n_frames=10, resolution=(96, 72), n_vehicles=4, seed=5, jitter=1.0
         )
     ),
+    "pedestrian/edges": lambda: clip_digest(
+        pedestrian_clip(n_frames=30, resolution=(96, 72), n_walkers=6, seed=2, speed=9.0)
+    ),
+    "pedestrian/tiny": lambda: clip_digest(
+        pedestrian_clip(n_frames=8, resolution=(24, 16), n_walkers=6, seed=3, speed=1.5)
+    ),
+    "pedestrian/static": lambda: clip_digest(
+        pedestrian_clip(n_frames=6, resolution=(96, 72), n_walkers=4, seed=7, speed=0.0)
+    ),
+    "pedestrian/jitter-long": lambda: clip_digest(
+        pedestrian_clip(
+            n_frames=40, resolution=(96, 72), n_walkers=4, seed=13, jitter=2.5
+        )
+    ),
+    "drone/fast": lambda: clip_digest(
+        drone_traffic_clip(
+            n_frames=12, resolution=(128, 96), n_vehicles=5, seed=17, speed=12.0
+        )
+    ),
     "scene/crowdhuman-like": lambda: scene_digest(
         SceneGenerator(CROWDHUMAN_LIKE, resolution=(160, 120), seed=3)
     ),
@@ -236,13 +259,21 @@ CASES: dict[str, Callable[[], str]] = {
 #: Expected digests.  The pixel and logit digests were captured before the
 #: style-once renderer and the exact stage-2 kernels landed, the wire
 #: digests before the table-driven ``FrameStats`` codec and the
-#: encode-once reply path; each must reproduce them bit for bit.
+#: encode-once reply path, and the edge clips (``pedestrian/edges``,
+#: ``/tiny``, ``/static``, ``/jitter-long``, ``drone/fast``) with the
+#: per-frame renderer, before clips were drawn as frame blocks; each must
+#: reproduce them bit for bit.
 GOLDEN_DIGESTS: dict[str, str] = {
     "pedestrian/linear": "c2cf6fc7eff190113791d4a32a6305f7d61f78ac7a82a7fcbc637b76ef97cd62",
     "pedestrian/jitter": "97e45cdc76c46154107887a0156b6a06a6252aa1ddb1583b513acfb5eb3dc967",
     "pedestrian/cold-classify": "99a081b75ac2582896d2ccbab08d7ef2957c8b0c56d706c3018e95fd410003b9",
     "drone/linear": "a36b70e70ac4499a35fa081b3589576120d045785bf33fc81004969f8c691165",
     "drone/jitter": "06022c59ef0575f094c40e54be3dc3990fc66a9311fd5c32a611bc964ba228db",
+    "pedestrian/edges": "edbc15ef0bcc758c4d7daff145bf32e310f2854c25f968179cffa61e38e1b788",
+    "pedestrian/tiny": "553b1c4375cac52301b3e992921177c0e15b4569aaef6576cfaaa885c51d1410",
+    "pedestrian/static": "ccfa186acf9e66d8e0179f6146dea23c49ef97f32a8a824215b466ffdc2a69f9",
+    "pedestrian/jitter-long": "a8fda9cc4a8ca3fda904a83286c86db9d1e58373e05255c0bc36d9f6bfd1422c",
+    "drone/fast": "996459803c70d4befec363a12c28fc08ade39877f539fb8243cdc7ec2cb4d7ca",
     "scene/crowdhuman-like": "3f00ab49573a99b71273bdaf7852ab7d0649c37163dd059b3bd32fb87a5674f6",
     "scene/dhdcampus-like": "dc28172e46e602bceb48f58a70a868e77e14e627856dc6ba20bf84e1f1d7d730",
     "scene/visdrone-like": "824afe550481a6c617e74b1f82c8818e38dc5302e597fc069e6c9334d0849dd3",

@@ -113,12 +113,16 @@ def render_face(
     cy = s * jit(0.52, 0.01)
     face_rx = s * jit(0.34, 0.015)
     face_ry = s * jit(0.42, 0.015)
+    # The primitives draw on frame blocks: this face is a block of one
+    # frame, its positions length-1 arrays.
+    face = canvas[None]
+    cx, cy = np.array([cx]), np.array([cy])
 
     # Hair mass behind the face, then the face ellipse.
-    fill_ellipse(canvas, cx, cy - face_ry * 0.25, face_rx * 1.18, face_ry * 0.95, hair)
-    fill_ellipse(canvas, cx, cy, face_rx, face_ry, skin)
+    fill_ellipse(face, cx, cy - face_ry * 0.25, face_rx * 1.18, face_ry * 0.95, hair)
+    fill_ellipse(face, cx, cy, face_rx, face_ry, skin)
     # Hairline cap.
-    fill_ellipse(canvas, cx, cy - face_ry * 0.72, face_rx * 0.95, face_ry * 0.38, hair)
+    fill_ellipse(face, cx, cy - face_ry * 0.72, face_rx * 0.95, face_ry * 0.38, hair)
 
     eye_dx = face_rx * jit(0.45, 0.02)
     eye_y = cy - face_ry * 0.12
@@ -127,9 +131,9 @@ def render_face(
     iris = np.asarray((0.15, 0.25, 0.35)) if rng.random() < 0.4 else np.asarray((0.22, 0.14, 0.08))
     for side in (-1.0, 1.0):
         ex = cx + side * eye_dx
-        fill_ellipse(canvas, ex, eye_y, eye_rx, eye_ry, (0.97, 0.97, 0.96))
-        fill_circle(canvas, ex, eye_y, min(eye_ry * 0.85, eye_rx * 0.45), iris)
-        fill_circle(canvas, ex, eye_y, min(eye_ry * 0.4, eye_rx * 0.2), (0.03, 0.03, 0.03))
+        fill_ellipse(face, ex, eye_y, eye_rx, eye_ry, (0.97, 0.97, 0.96))
+        fill_circle(face, ex, eye_y, min(eye_ry * 0.85, eye_rx * 0.45), iris)
+        fill_circle(face, ex, eye_y, min(eye_ry * 0.4, eye_rx * 0.2), (0.03, 0.03, 0.03))
         # Brow: a thin slanted bar above the eye.
         brow_y = eye_y - face_ry * (0.16 + brow_raise)
         brow_len = eye_rx * 2.4
@@ -142,12 +146,12 @@ def render_face(
             seg_x = ex - side * frac * brow_len
             seg_y = brow_y - brow_slant * face_ry * frac * side
             fill_rect(
-                canvas, seg_x - brow_len / (2 * n_seg), seg_y - brow_h / 2,
+                face, seg_x - brow_len / (2 * n_seg), seg_y - brow_h / 2,
                 brow_len / n_seg + 1, brow_h, hair * 0.6,
             )
 
     # Nose: subtle vertical shading.
-    fill_rect(canvas, cx - face_rx * 0.045, cy - face_ry * 0.05, face_rx * 0.09,
+    fill_rect(face, cx - face_rx * 0.045, cy - face_ry * 0.05, face_rx * 0.09,
               face_ry * 0.3, skin * 0.88)
 
     # Mouth: Bezier-ish arc approximated by elliptical segments.
@@ -160,10 +164,10 @@ def render_face(
         seg_x = cx + frac * mw
         seg_y = mouth_y - mouth_curve * s * (1.0 - (2.0 * frac) ** 2)
         seg_h = max(mouth_open * s * (1.0 - (2.0 * frac) ** 2) + s * 0.008, 1.0)
-        fill_ellipse(canvas, seg_x, seg_y, mw / (1.6 * n_seg), seg_h / 2.0, lip)
+        fill_ellipse(face, seg_x, seg_y, mw / (1.6 * n_seg), seg_h / 2.0, lip)
     if mouth_open > 0.03:
         # Visible mouth interior for open expressions.
-        fill_ellipse(canvas, cx, mouth_y - mouth_curve * s, mw * 0.28,
+        fill_ellipse(face, cx, mouth_y - mouth_curve * s, mw * 0.28,
                      mouth_open * s * 0.4, (0.15, 0.05, 0.06))
 
     return np.clip(canvas, 0.0, 1.0)

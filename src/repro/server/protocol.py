@@ -579,6 +579,12 @@ def parse_frame(data: dict):
 # -- wire IO ------------------------------------------------------------------
 
 
+#: The wire's compact JSON encoder.  ``json.dumps`` with these arguments
+#: builds one per call; sharing it gives the same bytes (``encode`` keeps
+#: no state between calls, so threads may share it too).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(frame) -> bytes:
     """One frame as its wire line: compact JSON + ``\\n``.
 
@@ -587,7 +593,7 @@ def encode_frame(frame) -> bytes:
     newline, so frame boundaries are unambiguous.
     """
     payload = frame.to_dict() if hasattr(frame, "to_dict") else frame
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _ENCODER.encode(payload).encode("utf-8") + b"\n"
 
 
 def read_frame(reader, max_bytes: int = MAX_FRAME_BYTES):

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..core.pipeline import ConventionalPipeline, HiRISEPipeline
-from ..core.profiling import PhaseProfile, PhaseProfiler
+from ..core.profiling import PhaseProfile, PhaseProfiler, profiled
 from ..faults.runtime import as_injector, default_injector
 from ..stream.ledger import StreamOutcome
 from ..stream.runner import StreamRunner
@@ -379,17 +379,18 @@ class Engine:
         on_stats=None,
     ) -> RunResult:
         """Run one scenario for real (no result memoization)."""
+        profiler = PhaseProfiler() if self.profile else None
         if clip is None:
-            clip = self.cache.clips.get_or_build(
-                self._epoch_key(clip_key(scenario)),
-                lambda: self._build_clip(scenario),
-                delta=None if cache_delta is None else cache_delta.clips,
-            )
+            # The clip-tier lookup, and the render on a miss.
+            with profiled(profiler, "render"):
+                clip = self.cache.clips.get_or_build(
+                    self._epoch_key(clip_key(scenario)),
+                    lambda: self._build_clip(scenario),
+                    delta=None if cache_delta is None else cache_delta.clips,
+                )
         runner, on_frame = self._build_runner(scenario, clip)
         runner.on_stats = on_stats
-        profiler = None
-        if self.profile:
-            profiler = PhaseProfiler()
+        if profiler is not None:
             runner.pipeline.profiler = profiler
         outcome = runner.run(
             clip.frames, frame_seeds=scenario.frame_seeds, on_frame=on_frame

@@ -52,7 +52,8 @@ class SyntheticClip:
     """A generated clip plus its ground truth.
 
     Attributes:
-        frames: ``(H, W, 3)`` float images in [0, 1].
+        frames: ``(H, W, 3)`` float images in [0, 1] (a rendered clip's
+            are C-contiguous views of one ``(T, H, W, 3)`` block).
         ground_truth: per-frame actor boxes, aligned with ``frames``.
         resolution: ``(width, height)``.
     """
@@ -111,25 +112,30 @@ def _render_clip(
             styles.append(PersonStyle.draw(appearance, 0.3, 0.55))
         else:
             styles.append(vehicle_color(appearance, actor.kind))
-    frames: list[np.ndarray] = []
-    ground_truth: list[list[Box]] = []
-    jitter_rng = np.random.default_rng((seed, 999_331))
-    for t in range(n_frames):
-        canvas = backdrop.copy()
-        boxes: list[Box] = []
-        for actor, style in zip(actors, styles):
-            dx = jitter * jitter_rng.normal() if jitter else 0.0
-            dy = jitter * jitter_rng.normal() if jitter else 0.0
-            x = actor.x + actor.vx * t + dx
-            y = actor.y + actor.vy * t + dy
-            if actor.kind == "person":
-                body, _ = style.paint(canvas, x, y, actor.size)
-                boxes.append(body)
-            else:
-                boxes.append(paint_vehicle(canvas, actor.kind, style, x, y, actor.size))
-        frames.append(np.clip(canvas, 0.0, 1.0, out=canvas))
-        ground_truth.append(boxes)
-    return SyntheticClip(frames, ground_truth, resolution)
+    # Every primitive draws on all frames at once: the frames start as one
+    # broadcast copy of the backdrop, and each actor's per-frame position
+    # is a length-T array.  Actors still blend in order on every frame.
+    block = np.empty((n_frames, *backdrop.shape), dtype=backdrop.dtype)
+    block[:] = backdrop
+    t = np.arange(n_frames)
+    # One sized draw replays the scalar draws frame by frame, actor by
+    # actor, dx before dy; without jitter every offset is 0.0.
+    offsets = np.zeros((n_frames, len(actors), 2))
+    if jitter:
+        offsets = jitter * np.random.default_rng((seed, 999_331)).normal(
+            size=offsets.shape
+        )
+    boxes = np.empty((n_frames, len(actors), 4))
+    for i, (actor, style) in enumerate(zip(actors, styles)):
+        x = actor.x + actor.vx * t + offsets[:, i, 0]
+        y = actor.y + actor.vy * t + offsets[:, i, 1]
+        if actor.kind == "person":
+            boxes[:, i], _ = style.paint(block, x, y, actor.size)
+        else:
+            boxes[:, i] = paint_vehicle(block, actor.kind, style, x, y, actor.size)
+    np.clip(block, 0.0, 1.0, out=block)
+    ground_truth = [list(map(tuple, frame)) for frame in boxes.tolist()]
+    return SyntheticClip(list(block), ground_truth, resolution)
 
 
 def pedestrian_clip(

@@ -53,36 +53,54 @@ class TestTextures:
         assert np.allclose(out[0, 1], (0.9, 0.8, 0.7))
 
 
+def _at(*values):
+    """Per-frame positions of a one-frame block."""
+    return (np.array([float(v)]) for v in values)
+
+
 class TestPrimitives:
+    """Primitives draw on ``(T, H, W, 3)`` blocks; these use one frame."""
+
     def test_fill_rect_interior(self):
-        canvas = np.zeros((10, 10, 3))
-        fill_rect(canvas, 2, 3, 4, 5, (1.0, 0.0, 0.0))
-        assert np.allclose(canvas[5, 4], (1.0, 0.0, 0.0))
-        assert np.allclose(canvas[0, 0], 0.0)
+        canvas = np.zeros((1, 10, 10, 3))
+        fill_rect(canvas, *_at(2, 3), 4, 5, (1.0, 0.0, 0.0))
+        assert np.allclose(canvas[0, 5, 4], (1.0, 0.0, 0.0))
+        assert np.allclose(canvas[0, 0, 0], 0.0)
 
     def test_fill_rect_clipped_at_border(self):
-        canvas = np.zeros((10, 10, 3))
-        fill_rect(canvas, 8, 8, 10, 10, (0.0, 1.0, 0.0))
-        assert canvas[9, 9, 1] > 0.5
-        assert canvas[0, 0, 1] == 0.0
+        canvas = np.zeros((1, 10, 10, 3))
+        fill_rect(canvas, *_at(8, 8), 10, 10, (0.0, 1.0, 0.0))
+        assert canvas[0, 9, 9, 1] > 0.5
+        assert canvas[0, 0, 0, 1] == 0.0
 
     def test_fill_rect_degenerate_noop(self):
-        canvas = np.zeros((5, 5, 3))
-        fill_rect(canvas, 1, 1, 0, 3, (1, 1, 1))
+        canvas = np.zeros((1, 5, 5, 3))
+        fill_rect(canvas, *_at(1, 1), 0, 3, (1, 1, 1))
         assert canvas.sum() == 0.0
 
     def test_fill_circle_center_and_outside(self):
-        canvas = np.zeros((20, 20, 3))
-        fill_circle(canvas, 10, 10, 5, (0.0, 0.0, 1.0))
-        assert canvas[10, 10, 2] > 0.9
-        assert canvas[1, 1, 2] == 0.0
+        canvas = np.zeros((1, 20, 20, 3))
+        fill_circle(canvas, *_at(10, 10), 5, (0.0, 0.0, 1.0))
+        assert canvas[0, 10, 10, 2] > 0.9
+        assert canvas[0, 1, 1, 2] == 0.0
 
     def test_fill_ellipse_covers_axes(self):
-        canvas = np.zeros((30, 30, 3))
-        fill_ellipse(canvas, 15, 15, 10, 5, (1.0, 1.0, 1.0))
-        assert canvas[15, 7, 0] > 0.5  # along x radius
-        assert canvas[12, 15, 0] > 0.5  # along y radius
-        assert canvas[5, 15, 0] < 0.5  # beyond y radius
+        canvas = np.zeros((1, 30, 30, 3))
+        fill_ellipse(canvas, *_at(15, 15), 10, 5, (1.0, 1.0, 1.0))
+        assert canvas[0, 15, 7, 0] > 0.5  # along x radius
+        assert canvas[0, 12, 15, 0] > 0.5  # along y radius
+        assert canvas[0, 5, 15, 0] < 0.5  # beyond y radius
+
+    def test_frames_are_drawn_independently(self):
+        canvas = np.zeros((3, 10, 12, 3))
+        fill_rect(canvas, np.array([0.0, 4.0, 40.0]), np.array([1.0, 1.0, 1.0]), 3, 3, (1, 1, 1))
+        assert canvas[0, 2, 1, 0] == 1.0 and canvas[0, 2, 5, 0] == 0.0
+        assert canvas[1, 2, 5, 0] == 1.0 and canvas[1, 2, 1, 0] == 0.0
+        assert canvas[2].sum() == 0.0  # off the canvas on this frame
+
+    def test_single_image_canvas_rejected(self):
+        with pytest.raises(ValueError):
+            fill_rect(np.zeros((10, 10, 3)), *_at(2, 3), 4, 5, (1.0, 0.0, 0.0))
 
 
 class TestObjectRenderers:

@@ -2,7 +2,9 @@
 
 The pixel and logit digests were pinned before the render and classifier
 fast paths landed, the wire digests before the table-driven ``FrameStats``
-codec and the encode-once reply path.
+codec and the encode-once reply path, and the edge clips (actors leaving
+the canvas, tiny people, a static clip, long jitter, a fast drone) with
+the per-frame renderer, before clips were drawn as frame blocks.
 
 The serving benchmark's reply oracle compares ``(system, frames)`` ledgers,
 which carry no pixels and no predictions, so a drift in clip rendering or

@@ -100,6 +100,20 @@ class TestRoundTrips:
         assert rebuilt == frame
         assert encode_frame(rebuilt) == line
 
+    @pytest.mark.parametrize("frame", sample_frames(), ids=lambda f: f.type)
+    def test_shared_encoder_writes_json_dumps_bytes(self, frame):
+        expected = json.dumps(frame.to_dict(), separators=(",", ":")).encode("utf-8")
+        assert encode_frame(frame) == expected + b"\n"
+
+    def test_shared_encoder_on_awkward_values(self):
+        payload = {
+            "type": "x", "nan": float("nan"), "inf": [float("inf"), -float("inf")],
+            "text": "caf\u00e9 \"q\"\n\u2603", "nested": {"a": [1, 2.5, None, True]},
+            "neg_zero": -0.0, "big": 10**30,
+        }
+        expected = json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+        assert encode_frame(payload) == expected
+
     def test_frame_stats_floats_survive_the_wire_bit_exactly(self):
         # Python repr round-trips floats exactly; the ledger rows a client
         # reassembles must compare bit-equal to the server's.

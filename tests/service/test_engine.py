@@ -441,6 +441,20 @@ class TestEngineProfiling:
         result = Engine(SYSTEM).run(scenario())
         assert result.profile is None
 
+    def test_clip_render_is_a_top_level_span(self):
+        engine = Engine(SYSTEM, profile=True)
+        profile = engine.run(scenario()).profile
+        render = profile.get("render")
+        assert render is not None and render.depth == 0
+        assert render.calls == 1 and render.total_s > 0.0
+        assert engine.cache.stats().clips.misses == 1
+        assert [p.path for p in profile.phases if p.depth == 0][0] == "render"
+
+    def test_pre_built_clip_has_no_render_span(self):
+        engine = Engine(SYSTEM, profile=True)
+        clip = pedestrian_clip(n_frames=3, resolution=(96, 72), seed=5)
+        assert engine.run(scenario(), clip=clip).profile.get("render") is None
+
     def test_profiled_requests_bypass_result_cache(self):
         engine = Engine(SYSTEM, profile=True)
         engine.run(scenario())
